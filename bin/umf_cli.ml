@@ -74,24 +74,6 @@ let parse_scenario = function
       | _ -> Error (`Msg "pw:<k> needs a positive integer"))
   | s -> Error (`Msg (Printf.sprintf "unknown scenario %s" s))
 
-(* --epsilon and --dt are rival tolerance contracts (certified-error
-   target vs raw step); accepting both silently meant --dt was ignored
-   on one command and half-honoured on another.  The combination is a
-   hard command-line error (exit code 124, like any other usage
-   error), and the message names the surviving flag. *)
-let epsilon_dt_conflict epsilon_arg dt_arg =
-  let check epsilon dt =
-    match (epsilon, dt) with
-    | Some _, Some _ ->
-        Error
-          (`Msg
-            "--epsilon and --dt cannot be combined: --epsilon (the target \
-             certified error) is the winner and --dt is deprecated; drop \
-             --dt")
-    | _ -> Ok (epsilon, dt)
-  in
-  Term.(term_result (const check $ epsilon_arg $ dt_arg))
-
 (* common args *)
 let model_arg =
   Arg.(
@@ -287,16 +269,7 @@ let bounds_cmd =
              $(docv), and set the optimiser tolerance to $(docv).  The \
              itemised budget prints with $(b,--metrics).")
   in
-  let dt_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "dt" ] ~docv:"DT"
-          ~doc:
-            "Deprecated: raw integrator step for the uncertain sweep.  \
-             Pass $(b,--epsilon) (a target certified error) instead.")
-  in
-  let run m var scenario horizon points steps (epsilon, dt) jobs trace metrics =
+  let run m var scenario horizon points steps epsilon jobs trace metrics =
     exit_of_result
       (let ( let* ) = Result.bind in
        let* coord = var_index m var in
@@ -306,18 +279,8 @@ let bounds_cmd =
          | Some e when e <= 0. -> Error (`Msg "--epsilon must be > 0")
          | _ -> Ok ()
        in
-       let* () =
-         match dt with
-         | Some d when d <= 0. -> Error (`Msg "--dt must be > 0")
-         | _ -> Ok ()
-       in
        if points < 2 then Error (`Msg "need at least 2 points")
-       else begin
-         if dt <> None then
-           prerr_endline
-             "warning: --dt is deprecated; pass --epsilon EPS (a target \
-              certified error — the grid is refined until the ledger's \
-              discretisation line meets it) instead";
+       else
          with_obs ~trace ~metrics (fun obs ->
              with_jobs ~obs jobs (fun pool ->
                  let times = Vec.linspace 0. horizon points in
@@ -328,10 +291,9 @@ let bounds_cmd =
                    | None -> steps
                  in
                  let dt_eff =
-                   match (epsilon, dt) with
-                   | Some e, _ -> Float.min 1e-2 e
-                   | None, Some d -> d
-                   | None, None -> 1e-2
+                   match epsilon with
+                   | Some e -> Float.min 1e-2 e
+                   | None -> 1e-2
                  in
                  match scen with
                  | Scenario.Imprecise | Scenario.Uncertain ->
@@ -380,15 +342,13 @@ let bounds_cmd =
                            Printf.printf "%.3f\t%.5f\t%.5f\n" t lo hi
                          end)
                        times;
-                     Ok ()))
-       end)
+                     Ok ())))
   in
   Cmd.v (Cmd.info "bounds" ~doc)
     Term.(
       const run $ model_arg $ var_arg $ scenario_arg $ horizon_arg 4.
-      $ points_arg $ steps_arg
-      $ epsilon_dt_conflict epsilon_arg dt_arg
-      $ jobs_arg $ trace_arg $ metrics_arg)
+      $ points_arg $ steps_arg $ epsilon_arg $ jobs_arg $ trace_arg
+      $ metrics_arg)
 
 (* hull command *)
 let hull_cmd =
@@ -629,17 +589,6 @@ let ctmc_cmd =
              (first-passage: 1e-3).  The itemised budget prints with \
              $(b,--metrics).")
   in
-  let dt_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "dt" ] ~docv:"DT"
-          ~doc:
-            "Deprecated: raw backward-sweep step for the imprecise \
-             envelope (step budget ceil(horizon/$(docv))).  Pass \
-             $(b,--epsilon) (a target certified error with an a-priori \
-             ledger) instead.")
-  in
   let above_arg =
     Arg.(
       value
@@ -680,8 +629,8 @@ let ctmc_cmd =
     | "hi" -> Ok ((Model.theta m).Optim.Box.hi)
     | s -> Error (`Msg (Printf.sprintf "unknown theta point %s" s))
   in
-  let run mode m n var theta scenario grid horizon points (epsilon, dt) above
-      below max_states truncation jobs trace metrics =
+  let run mode m n var theta scenario grid horizon points epsilon above below
+      max_states truncation jobs trace metrics =
     exit_of_result
       (let ( let* ) = Result.bind in
        let* () =
@@ -689,20 +638,10 @@ let ctmc_cmd =
          | Some e when e <= 0. -> Error (`Msg "--epsilon must be > 0")
          | _ -> Ok ()
        in
-       let* () =
-         match dt with
-         | Some d when d <= 0. -> Error (`Msg "--dt must be > 0")
-         | _ -> Ok ()
-       in
        if n < 1 then Error (`Msg "--n must be >= 1")
        else if points < 2 then Error (`Msg "need at least 2 points")
        else
          try
-           if dt <> None then
-             prerr_endline
-               "warning: --dt is deprecated; pass --epsilon EPS (a target \
-                certified error — the adaptive sweep spends it with an \
-                a-priori ledger) instead";
            with_obs ~trace ~metrics (fun obs ->
                with_jobs ~obs jobs (fun pool ->
                    let names = Model.var_names m in
@@ -713,23 +652,16 @@ let ctmc_cmd =
                    in
                    (* --epsilon is the whole certified-error target: half
                       goes to the uniformisation mass tolerance, half to
-                      the adaptive sweep's discretisation budget.  --dt
-                      (deprecated) only coarsens the fixed grid. *)
+                      the adaptive sweep's discretisation budget *)
                    let mass_eps, sweep_eps =
                      match epsilon with
                      | Some e -> (e /. 2., Some (e /. 2.))
                      | None -> (1e-12, None)
                    in
-                   let steps =
-                     Option.map
-                       (fun d ->
-                         Int.max 1 (int_of_float (Float.ceil (horizon /. d))))
-                       dt
-                   in
                    let spec_of scenario =
                      Ctmc.Engine.spec ~scenario ~horizon
                        ~times:(Vec.linspace 0. horizon points)
-                       ~epsilon:mass_eps ?steps ?sweep_eps ~truncation ?pool
+                       ~epsilon:mass_eps ?sweep_eps ~truncation ?pool
                        ~obs ~n m
                    in
                    let lost (c : Ctmc.Engine.certificate) =
@@ -871,8 +803,7 @@ let ctmc_cmd =
     Term.(
       const run $ mode_arg $ model_arg $ n_arg $ var_arg $ theta_arg
       $ scenario_arg $ grid_arg $ horizon_arg 10. $ points_arg
-      $ epsilon_dt_conflict epsilon_arg dt_arg
-      $ above_arg $ below_arg $ max_states_arg $ truncation_arg
+      $ epsilon_arg $ above_arg $ below_arg $ max_states_arg $ truncation_arg
       $ jobs_arg $ trace_arg $ metrics_arg)
 
 (* lint command *)

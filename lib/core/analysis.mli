@@ -106,7 +106,8 @@ val hull_bounds :
   spec ->
   x0:Umf_numerics.Vec.t ->
   Umf_diffinc.Hull.traj
-(** The differential-hull over-approximation (fast, conservative). *)
+(** The differential-hull over-approximation (fast, conservative),
+    clipped to [clip] (default: the model's clip box, {!Model.clip}). *)
 
 type region = {
   birkhoff : Umf_diffinc.Birkhoff.result;
@@ -155,45 +156,6 @@ val inclusion_fraction :
     boundary slack [tol] (the convergence diagnostic of Figure 6 —
     policies like θ1 ride exactly along the region boundary, so a
     small slack separates genuine escapes from boundary hugging). *)
-
-type finite_n = {
-  n : int;  (** Population size. *)
-  states : int;  (** Enumerated lattice states. *)
-  times : float array;
-  mean : float array;
-      (** Exact E[h(X_t)] under θ = the box midpoint. *)
-  lower : float array;
-  upper : float array;
-      (** Envelope of E[h(X_t)] over the θ-box (see below). *)
-  metrics : metrics;
-}
-(** Exact finite-N transient envelope of a state reward — the ground
-    truth the mean-field bounds of {!transient_bounds} approximate
-    (Theorem 1: for large N the exact values fall inside the
-    differential-inclusion bounds). *)
-
-val finite_n_transient :
-  ?times:float array ->
-  ?epsilon:float ->
-  spec ->
-  n:int ->
-  reward:(Umf_numerics.Vec.t -> float) ->
-  finite_n
-[@@deprecated
-  "use Ctmc.Engine.envelope with an Engine spec (it adds adaptive \
-   truncation with certified escaped-mass bounds and richer result \
-   records); removed two releases after 0.8"]
-(** Thin wrapper over [Ctmc.Engine.envelope] with a
-    [Ctmc.Engine.Lattice] reward, kept for source compatibility: same
-    lattice enumeration, certified uniformisation sweeps
-    ([epsilon] is the mass tolerance, [times] defaults to 11 points
-    on [0, horizon]) and scenario envelopes ([Uncertain g] θ-grid
-    sweeps; [Imprecise] backward sweeps, rates affine in θ required),
-    fanned out over [spec.pool] bit-identically.
-
-    @raise Invalid_argument in the imprecise scenario on a model not
-    affine in θ.
-    @raise Failure if the lattice exceeds the enumeration budget. *)
 
 type exceedance = { mean : float; worst : float; metrics : metrics }
 

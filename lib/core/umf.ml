@@ -14,12 +14,9 @@ module Expr = Umf_numerics.Expr
 module Tape = Umf_numerics.Tape
 module Tape_check = Umf_numerics.Tape_check
 module Generator = Umf_ctmc.Generator
-module Ctmc_sparse = Umf_ctmc.Sparse
 module Ctmc_path = Umf_ctmc.Path
 module Ctmc_simulate = Umf_ctmc.Simulate
-module Transient = Umf_ctmc.Transient
 module Stationary = Umf_ctmc.Stationary
-module Imprecise_ctmc = Umf_ctmc.Imprecise_ctmc
 module Interval_dtmc = Umf_ctmc.Interval_dtmc
 module Population = Umf_meanfield.Population
 module Ctmc_of_population = Umf_meanfield.Ctmc_of_population
@@ -50,8 +47,7 @@ module Bikenetwork = Umf_models.Bikenetwork
 module Registry = Umf_models.Registry
 
 (* finite-N CTMC: the spec-record front door plus its kernels, under
-   one namespace.  The historical top-level aliases (Transient,
-   Ctmc_sparse, Imprecise_ctmc) are deprecated in the interface. *)
+   one namespace (the only path to the kernels from the umbrella). *)
 module Ctmc = struct
   module Engine = Umf_meanfield.Engine
   module Generator = Umf_ctmc.Generator

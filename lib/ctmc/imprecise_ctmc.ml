@@ -335,39 +335,6 @@ let absorbing m ~target =
     m.by_src;
   make ~n:m.n ~theta:m.theta !trs
 
-(* deprecated fixed-grid entry points, bit-compatible wrappers over
-   {!fixed_series} *)
-
-let lower_expectation ?pool ?obs ?steps_per_unit m ~h ~horizon =
-  if horizon < 0. then invalid_arg "Imprecise_ctmc: negative horizon";
-  let sw =
-    fixed_series ?pool ?obs ?steps_per_unit ~sense:`Lower m ~h
-      ~times:[| horizon |]
-  in
-  sw.values.(0)
-
-let upper_expectation ?pool ?obs ?steps_per_unit m ~h ~horizon =
-  if horizon < 0. then invalid_arg "Imprecise_ctmc: negative horizon";
-  let sw =
-    fixed_series ?pool ?obs ?steps_per_unit ~sense:`Upper m ~h
-      ~times:[| horizon |]
-  in
-  sw.values.(0)
-
-let lower_series ?pool ?obs ?steps_per_unit m ~h ~times =
-  (fixed_series ?pool ?obs ?steps_per_unit ~sense:`Lower m ~h ~times).values
-
-let upper_series ?pool ?obs ?steps_per_unit m ~h ~times =
-  (fixed_series ?pool ?obs ?steps_per_unit ~sense:`Upper m ~h ~times).values
-
-let probability_bounds ?pool ?obs ?steps_per_unit m ~state ~horizon ~x0 =
-  if state < 0 || state >= m.n || x0 < 0 || x0 >= m.n then
-    invalid_arg "Imprecise_ctmc.probability_bounds: state out of range";
-  let h = Array.init m.n (fun i -> if i = state then 1. else 0.) in
-  let lo = lower_expectation ?pool ?obs ?steps_per_unit m ~h ~horizon in
-  let hi = upper_expectation ?pool ?obs ?steps_per_unit m ~h ~horizon in
-  (lo.(x0), hi.(x0))
-
 type policy = t:float -> x:int -> Vec.t
 
 let constant_policy theta ~t:_ ~x:_ = theta

@@ -134,14 +134,14 @@ val truncated_generator :
     transitions out of the retained set, accumulated in class order
     (index-owned per state, so bit-identical for any pool partition).
     Feed it to {!Umf_ctmc.Sparse.forward}'s [?leak] /
-    {!Umf_ctmc.Transient.uniformization_certified} to get transient
+    {!Umf_ctmc.Transient.uniformization} to get transient
     answers with certified escaped-mass bounds.  On a non-truncated
     space the leak vector is all zeros and a missing target still
     raises [Failure] (missed support is a bug, not truncation). *)
 
 val imprecise : ?theta:Optim.Box.t -> space -> Population.t -> Umf_ctmc.Imprecise_ctmc.t
 (** The finite-N chain as an imprecise CTMC over the θ-box, for
-    {!Umf_ctmc.Imprecise_ctmc.lower_series}/[upper_series] backward
+    {!Umf_ctmc.Imprecise_ctmc.fixed_series}/[adaptive_series] backward
     sweeps.  Each enumerated support edge carries the rate closure
     θ ↦ N·β(X/N, θ).
 

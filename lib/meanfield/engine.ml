@@ -148,7 +148,7 @@ let generator_of s sp ~theta =
 let certified_series s sp ~theta ~times hs =
   let g, leak = generator_of s sp ~theta in
   let p0 = Ctmc_of_population.point_mass sp in
-  Transient.expectation_series_certified ?pool:s.pool ~obs:s.obs
+  Transient.expectation_series ?pool:s.pool ~obs:s.obs
     ~epsilon:s.epsilon ?leak g ~p0 ~times hs
 
 let lost (c : certificate) = c.escaped +. c.tail
@@ -171,8 +171,6 @@ type transient = {
   certificates : certificate array;
   certs : Cert.t array array;
 }
-
-let transient_certificates t = t.certificates
 
 let transient ?theta ?space s ~rewards =
   let nr = Array.length rewards in
@@ -225,8 +223,6 @@ type envelope = {
   certs : Cert.t array;
   sweep_steps : int;
 }
-
-let envelope_certificates e = e.certificates
 
 (* The imprecise lower/upper sweeps of a spec: fixed-grid from the
    spec's step budget by default, adaptive with target [sweep_eps] when
@@ -376,15 +372,13 @@ type distribution = {
   cert : Cert.t;
 }
 
-let distribution_certificate d = d.certificate
-
 let distribution ?theta ?space s =
   let sp = space_of ?space s in
   let theta = theta_point ?theta s in
   let g, leak = generator_of s sp ~theta in
   let p0 = Ctmc_of_population.point_mass sp in
   let p, certificate =
-    Transient.uniformization_certified ?pool:s.pool ~obs:s.obs
+    Transient.uniformization ?pool:s.pool ~obs:s.obs
       ~epsilon:s.epsilon ?leak g ~p0 ~t:s.horizon
   in
   let retained = Vec.sum p in

@@ -1,22 +1,19 @@
 (** The finite-N CTMC engine behind one spec record.
 
-    Historically the exact finite-N pipeline was driven through four
-    separate entry points — {!Umf_ctmc.Transient},
-    {!Umf_ctmc.Sparse}, {!Umf_ctmc.Imprecise_ctmc} and
-    [Analysis.finite_n_transient] — each with its own calling
-    convention.  This module collapses them behind a single {!spec}
-    record mirroring [Analysis.spec]: declare the model, scenario,
-    population size, horizon, tolerance and truncation policy once,
+    This module is the one front door to the exact finite-N pipeline;
+    {!Umf_ctmc.Transient}, {!Umf_ctmc.Sparse} and
+    {!Umf_ctmc.Imprecise_ctmc} are its kernels.  A single {!spec}
+    record mirroring [Analysis.spec] declares the model, scenario,
+    population size, horizon, tolerance and truncation policy once;
     then ask for {!transient} expectations, scenario {!envelope}s, the
     {!stationary} distribution or the raw {!distribution}.
 
     Every result carries an explicit escaped-mass {!certificate}: under
     [Adaptive] truncation the engine runs the substochastic operator of
     the retained lattice and reports the probability mass that provably
-    left it, instead of raising [Transient.Truncated] — for any reward
-    with range [rlo, rhi] over the model's clip box the true value lies
-    in [value + lost·rlo, value + lost·rhi] with
-    [lost = escaped + tail].  Under the default [Exact] truncation the
+    left it — for any reward with range [rlo, rhi] over the model's
+    clip box the true value lies in [value + lost·rlo, value + lost·rhi]
+    with [lost = escaped + tail].  Under the default [Exact] truncation the
     certificate's [escaped] is exactly [0.] and [tail <= epsilon].
 
     All sweeps thread the spec's [pool] (bit-identical to sequential
@@ -122,10 +119,6 @@ type transient = {
           reward range on the truncation line. *)
 }
 
-val transient_certificates : transient -> certificate array
-  [@@deprecated "read the certs field (unified Cert ledger) instead"]
-(** The raw escaped/tail view, superseded by [certs]. *)
-
 val transient :
   ?theta:Vec.t ->
   ?space:Ctmc_of_population.space ->
@@ -134,7 +127,7 @@ val transient :
   transient
 (** Certified transient expectations at a fixed θ (default: the θ-box
     midpoint) for every reward and query time, in one uniformisation
-    sweep.  Never raises [Transient.Truncated].
+    sweep; every truncation deficit lands in the certificates.
     @raise Invalid_argument on an empty reward array, a reward
     coordinate out of range, or a θ dimension mismatch.
     @raise Failure from enumeration/assembly under [Exact] truncation
@@ -160,10 +153,6 @@ type envelope = {
       (** Euler steps both imprecise sweeps took together (0 under
           [Uncertain]) — what the adaptive stepper is saving. *)
 }
-
-val envelope_certificates : envelope -> certificate array
-  [@@deprecated "read the certs field (unified Cert ledger) instead"]
-(** The raw escaped/tail view, superseded by [certs]. *)
 
 val envelope :
   ?space:Ctmc_of_population.space -> spec -> reward:reward -> envelope
@@ -216,9 +205,6 @@ type distribution = {
       (** Certified total retained mass: [Σp, Σp + lost] with the lost
           mass on the truncation line. *)
 }
-
-val distribution_certificate : distribution -> certificate
-  [@@deprecated "read the cert field (unified Cert ledger) instead"]
 
 val distribution :
   ?theta:Vec.t -> ?space:Ctmc_of_population.space -> spec -> distribution

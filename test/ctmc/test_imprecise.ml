@@ -1,11 +1,12 @@
 open Umf_numerics
 open Umf_ctmc
 
-(* this suite doubles as the bit-compat gate for the deprecated
-   fixed-grid wrappers (lower/upper_expectation, *_series,
-   probability_bounds) against the certified sweep API they forward
-   to *)
-[@@@alert "-deprecated"]
+(* the fixed-grid backward sweep at a single horizon: the vector
+   x ↦ E̲[h(X_horizon) | X_0 = x] (or its upper counterpart) *)
+let sweep ?steps_per_unit sense m ~h ~horizon =
+  (Imprecise_ctmc.fixed_series ?steps_per_unit ~sense m ~h
+     ~times:[| horizon |])
+    .values.(0)
 
 (* single-station bike sharing chain (paper Sec. II example):
    states 0..cap bikes; arrivals take a bike at rate θa, returns add one
@@ -35,10 +36,10 @@ let test_degenerate_box_matches_precise () =
   let m = bike_station ~cap:4 ~theta_box:(box2 1.2 1.2 0.8 0.8) in
   let g = Imprecise_ctmc.generator_at m theta in
   let h = Array.init 5 float_of_int in
-  let lo = Imprecise_ctmc.lower_expectation ~steps_per_unit:2000 m ~h ~horizon:1. in
-  let hi = Imprecise_ctmc.upper_expectation ~steps_per_unit:2000 m ~h ~horizon:1. in
+  let lo = sweep ~steps_per_unit:2000 `Lower m ~h ~horizon:1. in
+  let hi = sweep ~steps_per_unit:2000 `Upper m ~h ~horizon:1. in
   let p0 = [| 0.; 0.; 1.; 0.; 0. |] in
-  let exact = Transient.expectation g ~p0 ~t:1. (fun s -> h.(s)) in
+  let exact = Vec.dot (fst (Transient.uniformization g ~p0 ~t:1.)) h in
   Alcotest.(check (float 1e-3)) "lower = precise" exact lo.(2);
   Alcotest.(check (float 1e-3)) "upper = precise" exact hi.(2);
   Alcotest.(check bool) "lower <= upper" true (lo.(2) <= hi.(2) +. 1e-9)
@@ -47,10 +48,10 @@ let test_bounds_order_and_nesting () =
   let narrow = bike_station ~cap:4 ~theta_box:(box2 1. 1.5 1. 1.5) in
   let wide = bike_station ~cap:4 ~theta_box:(box2 0.5 2. 0.5 2.) in
   let h = Array.init 5 float_of_int in
-  let lo_n = Imprecise_ctmc.lower_expectation narrow ~h ~horizon:2. in
-  let hi_n = Imprecise_ctmc.upper_expectation narrow ~h ~horizon:2. in
-  let lo_w = Imprecise_ctmc.lower_expectation wide ~h ~horizon:2. in
-  let hi_w = Imprecise_ctmc.upper_expectation wide ~h ~horizon:2. in
+  let lo_n = sweep `Lower narrow ~h ~horizon:2. in
+  let hi_n = sweep `Upper narrow ~h ~horizon:2. in
+  let lo_w = sweep `Lower wide ~h ~horizon:2. in
+  let hi_w = sweep `Upper wide ~h ~horizon:2. in
   for x = 0 to 4 do
     Alcotest.(check bool) "lower <= upper" true (lo_n.(x) <= hi_n.(x) +. 1e-9);
     Alcotest.(check bool) "wider box gives wider bounds (lo)" true
@@ -62,12 +63,15 @@ let test_bounds_order_and_nesting () =
 let test_horizon_zero_is_reward () =
   let m = bike_station ~cap:3 ~theta_box:(box2 1. 2. 1. 2.) in
   let h = [| 5.; 1.; 0.; 2. |] in
-  let lo = Imprecise_ctmc.lower_expectation m ~h ~horizon:0. in
+  let lo = sweep `Lower m ~h ~horizon:0. in
   Alcotest.(check bool) "g_0 = h" true (Vec.approx_equal lo h)
 
 let test_probability_bounds () =
   let m = bike_station ~cap:3 ~theta_box:(box2 1. 3. 1. 3.) in
-  let lo, hi = Imprecise_ctmc.probability_bounds m ~state:0 ~horizon:1. ~x0:2 in
+  (* P(X_1 = 0 | X_0 = 2): the sweeps on the indicator reward of 0 *)
+  let h = [| 1.; 0.; 0.; 0. |] in
+  let lo = (sweep `Lower m ~h ~horizon:1.).(2)
+  and hi = (sweep `Upper m ~h ~horizon:1.).(2) in
   Alcotest.(check bool) "probabilities in [0,1]" true
     (lo >= -1e-9 && hi <= 1. +. 1e-9 && lo <= hi)
 
@@ -78,8 +82,8 @@ let test_simulation_within_bounds () =
   let m = bike_station ~cap:5 ~theta_box:box in
   let h = Array.init 6 float_of_int in
   let horizon = 2. in
-  let lo = Imprecise_ctmc.lower_expectation m ~h ~horizon in
-  let hi = Imprecise_ctmc.upper_expectation m ~h ~horizon in
+  let lo = sweep `Lower m ~h ~horizon in
+  let hi = sweep `Upper m ~h ~horizon in
   let policies =
     [
       ("constant mid", Imprecise_ctmc.constant_policy [| 2.; 2. |]);
@@ -113,8 +117,8 @@ let test_coarse_grid_auto_refined () =
      envelope invariant holds *)
   let m = bike_station ~cap:4 ~theta_box:(box2 1. 3. 1. 3.) in
   let h = Array.init 5 float_of_int in
-  let lo = Imprecise_ctmc.lower_expectation ~steps_per_unit:1 m ~h ~horizon:2. in
-  let hi = Imprecise_ctmc.upper_expectation ~steps_per_unit:1 m ~h ~horizon:2. in
+  let lo = sweep ~steps_per_unit:1 `Lower m ~h ~horizon:2. in
+  let hi = sweep ~steps_per_unit:1 `Upper m ~h ~horizon:2. in
   for x = 0 to 4 do
     Alcotest.(check bool) "lower in [min h, max h]" true
       (lo.(x) >= 0. && lo.(x) <= 4.);
@@ -124,22 +128,22 @@ let test_coarse_grid_auto_refined () =
   done;
   (* and the refined coarse grid still lands near the accurate sweep
      (first-order Euler at dt·λ = 1, so only O(dt) accuracy) *)
-  let ref_lo = Imprecise_ctmc.lower_expectation ~steps_per_unit:2000 m ~h ~horizon:2. in
+  let ref_lo = sweep ~steps_per_unit:2000 `Lower m ~h ~horizon:2. in
   Alcotest.(check bool) "coarse refined close to accurate" true
     (Vec.dist_inf lo ref_lo < 0.2)
 
 let test_series_matches_single_horizon () =
   let m = bike_station ~cap:4 ~theta_box:(box2 1. 2. 1. 3.) in
   let h = Array.init 5 float_of_int in
-  let series = Imprecise_ctmc.lower_series m ~h ~times:[| 2. |] in
-  let single = Imprecise_ctmc.lower_expectation m ~h ~horizon:2. in
-  Alcotest.(check bool) "singleton series = single horizon" true
-    (Vec.approx_equal ~tol:0. series.(0) single);
-  (* multi-time series is monotone in nesting: each snapshot stays in
-     the envelope *)
+  (* one sweep with snapshots: the last snapshot of a multi-time series
+     is the single-horizon sweep *)
+  let single = sweep `Lower m ~h ~horizon:2. in
   let times = [| 0.5; 1.; 2. |] in
-  let los = Imprecise_ctmc.lower_series m ~h ~times in
-  let his = Imprecise_ctmc.upper_series m ~h ~times in
+  let los = (Imprecise_ctmc.fixed_series ~sense:`Lower m ~h ~times).values in
+  let his = (Imprecise_ctmc.fixed_series ~sense:`Upper m ~h ~times).values in
+  Alcotest.(check bool) "last snapshot = single horizon" true
+    (Vec.approx_equal ~tol:0. los.(2) single);
+  (* each snapshot stays in the envelope *)
   Array.iteri
     (fun j _ ->
       for x = 0 to 4 do
@@ -148,7 +152,8 @@ let test_series_matches_single_horizon () =
     times;
   Alcotest.check_raises "times must increase"
     (Invalid_argument "Imprecise_ctmc: times not increasing") (fun () ->
-      ignore (Imprecise_ctmc.lower_series m ~h ~times:[| 1.; 0.5 |]))
+      ignore
+        (Imprecise_ctmc.fixed_series ~sense:`Lower m ~h ~times:[| 1.; 0.5 |]))
 
 let path_equal (a : Path.t) (b : Path.t) =
   a.Path.times = b.Path.times && a.Path.states = b.Path.states

@@ -1,5 +1,6 @@
 open Umf_numerics
 open Umf_ctmc
+module Obs = Umf_obs.Obs
 
 (* 0 <-> 1 with rates a=2, b=3: p_0(t) has closed form
    p0(t) = b/(a+b) + (p0(0) - b/(a+b)) exp(-(a+b) t) *)
@@ -9,11 +10,14 @@ let two_state () = Generator.make ~n:2 [ (0, 1, a); (1, 0, b) ]
 
 let closed_form p00 t = (b /. (a +. b)) +. ((p00 -. (b /. (a +. b))) *. Float.exp (-.(a +. b) *. t))
 
+(* the distribution alone, certificate dropped *)
+let uni ?epsilon g ~p0 ~t = fst (Transient.uniformization ?epsilon g ~p0 ~t)
+
 let test_uniformization_closed_form () =
   let g = two_state () in
   List.iter
     (fun t ->
-      let p = Transient.uniformization g ~p0:[| 1.; 0. |] ~t in
+      let p = uni g ~p0:[| 1.; 0. |] ~t in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "p0 at t=%g" t)
         (closed_form 1. t) p.(0))
@@ -21,43 +25,41 @@ let test_uniformization_closed_form () =
 
 let test_uniformization_preserves_mass () =
   let g = two_state () in
-  let p = Transient.uniformization g ~p0:[| 0.3; 0.7 |] ~t:2.5 in
+  let p = uni g ~p0:[| 0.3; 0.7 |] ~t:2.5 in
   Alcotest.(check (float 1e-9)) "mass" 1. (Vec.sum p)
 
 let test_matches_ode () =
   let g = Generator.make ~n:3 [ (0, 1, 1.); (1, 2, 2.); (2, 0, 0.7); (0, 2, 0.2) ] in
   let p0 = [| 1.; 0.; 0. |] in
-  let pu = Transient.uniformization g ~p0 ~t:1.7 in
+  let pu = uni g ~p0 ~t:1.7 in
   let po = Transient.kolmogorov_ode ~dt:1e-4 g ~p0 ~t:1.7 in
   Alcotest.(check bool) "uniformization = ODE" true
     (Vec.approx_equal ~tol:1e-6 pu po)
 
 let test_long_horizon_converges_to_stationary () =
   let g = two_state () in
-  let p = Transient.uniformization g ~p0:[| 1.; 0. |] ~t:50. in
+  let p = uni g ~p0:[| 1.; 0. |] ~t:50. in
   Alcotest.(check (float 1e-9)) "stationary p0" (b /. (a +. b)) p.(0)
 
 let test_validation () =
   let g = two_state () in
   Alcotest.check_raises "bad distribution"
     (Invalid_argument "Transient: distribution does not sum to 1") (fun () ->
-      ignore (Transient.uniformization g ~p0:[| 0.5; 0.2 |] ~t:1.));
+      ignore (uni g ~p0:[| 0.5; 0.2 |] ~t:1.));
   Alcotest.check_raises "negative time"
     (Invalid_argument "Transient.uniformization: t < 0") (fun () ->
-      ignore (Transient.uniformization g ~p0:[| 1.; 0. |] ~t:(-1.)))
+      ignore (uni g ~p0:[| 1.; 0. |] ~t:(-1.)))
 
 let test_expectation () =
   let g = two_state () in
-  let e =
-    Transient.expectation g ~p0:[| 1.; 0. |] ~t:0.5 (fun s -> float_of_int s)
-  in
+  let e = Vec.dot (uni g ~p0:[| 1.; 0. |] ~t:0.5) [| 0.; 1. |] in
   Alcotest.(check (float 1e-9)) "E[X_t] = p1(t)" (1. -. closed_form 1. 0.5) e
 
 let test_large_lambda_t () =
   (* stiff chain over a long horizon: exp(-lt) underflows; the
      log-space Poisson recursion must still work *)
   let g = Generator.make ~n:2 [ (0, 1, 500.); (1, 0, 300.) ] in
-  let p = Transient.uniformization g ~p0:[| 1.; 0. |] ~t:10. in
+  let p = uni g ~p0:[| 1.; 0. |] ~t:10. in
   Alcotest.(check (float 1e-6)) "stationary" (300. /. 800.) p.(0)
 
 let test_large_lambda_t_vs_ode () =
@@ -67,7 +69,7 @@ let test_large_lambda_t_vs_ode () =
     Generator.make ~n:3 [ (0, 1, 50.); (1, 2, 30.); (2, 0, 40.); (1, 0, 20.) ]
   in
   let p0 = [| 1.; 0.; 0. |] in
-  let pu = Transient.uniformization g ~p0 ~t:3. in
+  let pu = uni g ~p0 ~t:3. in
   let po = Transient.kolmogorov_ode ~dt:1e-6 g ~p0 ~t:3. in
   Alcotest.(check bool)
     "uniformization = ODE at large Λt" true
@@ -82,28 +84,33 @@ let test_epsilon_validation () =
         (Printf.sprintf "epsilon = %g" eps)
         bad
         (fun () ->
-          ignore (Transient.uniformization ~epsilon:eps g ~p0:[| 1.; 0. |] ~t:1.)))
+          ignore (uni ~epsilon:eps g ~p0:[| 1.; 0. |] ~t:1.)))
     [ 0.; 1.; -0.5; 2. ]
 
-let test_truncation_raises_not_renormalises () =
+let test_no_term_cap_at_large_lambda_t () =
   (* regression for the silent-truncation bug: the old implementation
      capped the sweep at a hard-coded term count and renormalised the
-     partial sum to mass 1, hiding arbitrarily large error for large
-     λt.  λt ≈ 8080 needs thousands of terms; a 50-term user cap must
-     raise, not return a renormalised guess. *)
+     partial sum to mass 1.  Here the Poisson mass only reaches 1 - ε
+     past Λt terms, thousands of them; the sweep must run them all,
+     carry the honest mass and certify the remaining deficit within
+     the default epsilon = 1e-12 *)
   let g = Generator.make ~n:2 [ (0, 1, 500.); (1, 0, 300.) ] in
-  (match
-     Transient.uniformization ~max_terms:50 g ~p0:[| 1.; 0. |] ~t:10.
-   with
-  | _ -> Alcotest.fail "expected Transient.Truncated"
-  | exception Transient.Truncated { epsilon; mass; terms } ->
-      Alcotest.(check int) "terms = cap" 50 terms;
-      Alcotest.(check bool) "reported mass below target" true
-        (mass < 1. -. epsilon);
-      Alcotest.(check bool) "mass is tiny here" true (mass < 1e-6));
-  Alcotest.check_raises "max_terms validated"
-    (Invalid_argument "Transient: max_terms < 1") (fun () ->
-      ignore (Transient.uniformization ~max_terms:0 g ~p0:[| 1.; 0. |] ~t:1.))
+  let agg = Obs.Agg.create () in
+  let obs = Obs.make ~agg () in
+  let p, (c : Transient.certificate) =
+    Transient.uniformization ~obs g ~p0:[| 1.; 0. |] ~t:10.
+  in
+  let retained = Vec.sum p in
+  let lt = Sparse.rate (Sparse.forward g) *. 10. in
+  Alcotest.(check bool) "more terms than λt" true
+    (Obs.Agg.counter agg "ctmc.terms" > lt);
+  Alcotest.(check (float 0.)) "escaped is exactly zero" 0. c.escaped;
+  Alcotest.(check bool) "tail <= epsilon" true (c.tail <= 1e-12);
+  Alcotest.(check bool) "mass >= 1 - epsilon" true
+    (retained >= 1. -. 1e-12 -. 1e-13);
+  Alcotest.(check bool) "mass <= 1" true (retained <= 1. +. 1e-12);
+  Alcotest.(check bool) "tail certifies the cut" true
+    (Float.abs (retained +. c.tail -. 1.) < 1e-12)
 
 let test_mass_never_renormalised () =
   (* with a loose epsilon the sweep stops early; the returned vector
@@ -111,7 +118,7 @@ let test_mass_never_renormalised () =
      scaled up to 1 *)
   let g = Generator.make ~n:2 [ (0, 1, 500.); (1, 0, 300.) ] in
   let epsilon = 1e-3 in
-  let p = Transient.uniformization ~epsilon g ~p0:[| 1.; 0. |] ~t:1. in
+  let p = uni ~epsilon g ~p0:[| 1.; 0. |] ~t:1. in
   let mass = Vec.sum p in
   Alcotest.(check bool) "mass >= 1 - eps" true (mass >= 1. -. epsilon);
   Alcotest.(check bool) "mass <= 1" true (mass <= 1. +. 1e-12);
@@ -121,10 +128,12 @@ let test_expectation_series () =
   let g = two_state () in
   let times = [| 0.; 0.1; 0.5; 1.; 2.5 |] in
   let h0 = [| 1.; 0. |] and h1 = [| 0.; 1. |] in
-  let e = Transient.expectation_series g ~p0:[| 1.; 0. |] ~times [| h0; h1 |] in
+  let e, _ =
+    Transient.expectation_series g ~p0:[| 1.; 0. |] ~times [| h0; h1 |]
+  in
   Array.iteri
     (fun j t ->
-      let p = Transient.uniformization g ~p0:[| 1.; 0. |] ~t in
+      let p = uni g ~p0:[| 1.; 0. |] ~t in
       Alcotest.(check (float 1e-10))
         (Printf.sprintf "h0 at t=%g" t)
         p.(0) e.(j).(0);
@@ -162,7 +171,7 @@ let certified_mass_accounting =
       let leak = Array.init n (fun _ -> Rng.float rng *. 0.5) in
       let epsilon = 1e-12 in
       let p, (c : Transient.certificate) =
-        Transient.uniformization_certified ~epsilon ~leak g
+        Transient.uniformization ~epsilon ~leak g
           ~p0:(Array.init n (fun i -> if i = 0 then 1. else 0.))
           ~t
       in
@@ -172,45 +181,45 @@ let certified_mass_accounting =
       && retained +. c.escaped >= 1. -. epsilon -. 1e-9
       && retained +. c.escaped <= 1. +. 1e-9)
 
-let test_certified_no_leak_bit_identical () =
-  (* without a leak the certified sweep is the strict sweep: same bits,
-     escaped exactly 0 *)
+let test_zero_leak_bit_identical () =
+  (* an all-zero leak runs the substochastic operator path yet loses
+     nothing: same bits as the exact operator, escaped exactly 0 *)
   let g = Generator.make ~n:2 [ (0, 1, 500.); (1, 0, 300.) ] in
   let p0 = [| 1.; 0. |] in
-  let strict = Transient.uniformization g ~p0 ~t:1. in
-  let certified, (c : Transient.certificate) =
-    Transient.uniformization_certified g ~p0 ~t:1.
+  let exact, (c0 : Transient.certificate) =
+    Transient.uniformization g ~p0 ~t:1.
+  in
+  let leaky, (c : Transient.certificate) =
+    Transient.uniformization ~leak:[| 0.; 0. |] g ~p0 ~t:1.
   in
   Array.iteri
     (fun i x ->
-      if Int64.bits_of_float x <> Int64.bits_of_float certified.(i) then
-        Alcotest.failf "state %d differs: %h vs %h" i x certified.(i))
-    strict;
+      if Int64.bits_of_float x <> Int64.bits_of_float leaky.(i) then
+        Alcotest.failf "state %d differs: %h vs %h" i x leaky.(i))
+    exact;
   Alcotest.(check (float 0.)) "escaped is exactly zero" 0. c.escaped;
+  Alcotest.(check (float 0.)) "exact escaped is exactly zero" 0. c0.escaped;
   Alcotest.(check bool) "tail below epsilon" true (c.tail <= 1e-12 +. 1e-13)
 
-let test_certified_bounded_where_strict_raised () =
-  (* the regression fixture of test_truncation_raises_not_renormalises:
-     same chain, same 50-term cap.  The strict entry point raises
-     Transient.Truncated; the certified one returns the partial answer
-     with the entire deficit in the tail, so the caller still gets a
-     sound two-sided bound. *)
+let test_coarse_epsilon_tail_certified () =
+  (* the stiff chain of the large-Λt tests (λt ≈ 8080) with a coarse
+     mass tolerance: the sweep stops early and the whole Poisson deficit
+     lands in the certificate's tail — retained + tail = 1 and
+     tail <= epsilon — so a reward with range [0, 1] is bracketed
+     within [r, r + lost], lost <= epsilon *)
   let g = Generator.make ~n:2 [ (0, 1, 500.); (1, 0, 300.) ] in
-  let p0 = [| 1.; 0. |] in
-  (match Transient.uniformization ~max_terms:50 g ~p0 ~t:10. with
-  | _ -> Alcotest.fail "expected Transient.Truncated"
-  | exception Transient.Truncated _ -> ());
+  let epsilon = 1e-3 in
   let p, (c : Transient.certificate) =
-    Transient.uniformization_certified ~max_terms:50 g ~p0 ~t:10.
+    Transient.uniformization ~epsilon g ~p0:[| 1.; 0. |] ~t:10.
   in
   let retained = Vec.sum p in
-  Alcotest.(check bool) "mass is tiny here" true (retained < 1e-6);
+  Alcotest.(check (float 0.)) "escaped is exactly zero" 0. c.escaped;
   Alcotest.(check bool) "tail certifies the cut" true
     (Float.abs (retained +. c.tail -. 1.) < 1e-12);
-  (* any reward with range [0, 1] is then bounded within [r, r + lost] *)
-  let lost = c.escaped +. c.tail in
-  Alcotest.(check bool) "bound width below 1" true (lost <= 1.);
-  Alcotest.(check bool) "bound is informative" true (lost > 0.9)
+  Alcotest.(check bool) "tail is the deficit" true (c.tail > 0.);
+  Alcotest.(check bool) "tail <= epsilon" true (c.tail <= epsilon);
+  Alcotest.(check bool) "bound width <= epsilon" true
+    (c.escaped +. c.tail <= epsilon)
 
 let suites =
   [
@@ -225,15 +234,15 @@ let suites =
         Alcotest.test_case "stiff / large Λt" `Quick test_large_lambda_t;
         Alcotest.test_case "large Λt vs ODE" `Quick test_large_lambda_t_vs_ode;
         Alcotest.test_case "epsilon validation" `Quick test_epsilon_validation;
-        Alcotest.test_case "truncation raises (regression)" `Quick
-          test_truncation_raises_not_renormalises;
+        Alcotest.test_case "no term cap at large Λt (regression)" `Quick
+          test_no_term_cap_at_large_lambda_t;
         Alcotest.test_case "mass never renormalised" `Quick
           test_mass_never_renormalised;
         Alcotest.test_case "expectation series" `Quick test_expectation_series;
         QCheck_alcotest.to_alcotest certified_mass_accounting;
-        Alcotest.test_case "certified = strict without leak" `Quick
-          test_certified_no_leak_bit_identical;
-        Alcotest.test_case "certified bounds where strict raised" `Quick
-          test_certified_bounded_where_strict_raised;
+        Alcotest.test_case "zero leak = no leak (bitwise)" `Quick
+          test_zero_leak_bit_identical;
+        Alcotest.test_case "coarse epsilon certified in tail" `Quick
+          test_coarse_epsilon_tail_certified;
       ] );
   ]

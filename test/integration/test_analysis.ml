@@ -69,6 +69,25 @@ let test_hull_bounds_wrapper () =
   let h = Analysis.hull_bounds ~clip s ~x0:Sir.x0 in
   Alcotest.(check bool) "hull contains x0 at 0" true (Hull.contains h 0. Sir.x0)
 
+let test_hull_bounds_default_clip () =
+  (* without ~clip the hull is clipped to the model's own box: sir3's
+     unclipped hull blows up past horizon ~1 and turns NaN before 2 *)
+  let m = Sir.make3 p in
+  let { Optim.Box.lo; hi } = Model.clip m in
+  let s = Analysis.spec ~horizon:2. m in
+  let h = Analysis.hull_bounds s ~x0:(Model.x0 m) in
+  let inside v =
+    Array.iteri
+      (fun i x ->
+        if not (x >= lo.(i) && x <= hi.(i)) then
+          Alcotest.failf "coord %d = %g outside [%g, %g]" i x lo.(i) hi.(i))
+      v
+  in
+  Array.iter inside h.Hull.lower;
+  Array.iter inside h.Hull.upper;
+  Alcotest.(check bool) "hull contains x0 at 0" true
+    (Hull.contains h 0. (Model.x0 m))
+
 let test_steady_state_region () =
   let s = Analysis.spec model in
   let r = Analysis.steady_state_region_2d ~x_start:Sir.x0 s in
@@ -187,5 +206,7 @@ let suites =
         Alcotest.test_case "safety end-to-end" `Quick test_safety_on_population_model;
         Alcotest.test_case "validation" `Quick test_stationary_cloud_validation;
         Alcotest.test_case "obs metrics populated" `Quick test_obs_metrics_populated;
+        Alcotest.test_case "hull clips to model box by default" `Quick
+          test_hull_bounds_default_clip;
       ] );
   ]

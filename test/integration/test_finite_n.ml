@@ -1,8 +1,8 @@
 (* The finite-N engine against the mean-field machinery: Theorem 1
    sanity (the exact transient mean lies inside the
    differential-inclusion bounds), envelope consistency between the
-   two scenarios, pool determinism, the affine-θ gate, adaptive
-   truncation soundness and the deprecated Analysis wrapper. *)
+   two scenarios, pool determinism, the affine-θ gate and adaptive
+   truncation soundness. *)
 
 open Umf
 
@@ -198,37 +198,6 @@ let test_adaptive_bounds_truncated_run () =
         (Float.abs (cut.upper.(j).(0) -. cut.lower.(j).(0) -. lost) < 1e-12))
     cut.certificates
 
-(* the deprecated one-line wrapper must agree with the Engine it
-   forwards to *)
-[@@@alert "-deprecated"]
-
-let test_deprecated_wrapper_compat () =
-  let model = Sir.make Sir.default_params in
-  let t2 = Vec.linspace 0. 2. 5 in
-  let spec =
-    Analysis.spec ~scenario:(Analysis.Uncertain 2) ~horizon:2. model
-  in
-  let fn =
-    Analysis.finite_n_transient ~times:t2 spec ~n:30 ~reward:(fun x -> x.(1))
-  in
-  let env =
-    Ctmc.Engine.envelope
-      (engine_spec ~scenario:(Ctmc.Engine.Uncertain 2) ~horizon:2. ~times:t2
-         ~n:30 model)
-      ~reward:(Ctmc.Engine.Lattice (fun x -> x.(1)))
-  in
-  Alcotest.(check int) "states" env.Ctmc.Engine.states fn.Analysis.states;
-  Array.iteri
-    (fun j x ->
-      if Int64.bits_of_float x <> Int64.bits_of_float env.mean.(j) then
-        Alcotest.failf "wrapper mean differs at %d" j)
-    fn.Analysis.mean;
-  Array.iteri
-    (fun j x ->
-      if Int64.bits_of_float x <> Int64.bits_of_float env.lower.(j) then
-        Alcotest.failf "wrapper lower differs at %d" j)
-    fn.Analysis.lower
-
 let suites =
   [
     ( "finite_n",
@@ -243,7 +212,5 @@ let suites =
           test_adaptive_bounds_exact_run;
         Alcotest.test_case "adaptive certifies truncated run" `Quick
           test_adaptive_bounds_truncated_run;
-        Alcotest.test_case "deprecated wrapper compat" `Quick
-          test_deprecated_wrapper_compat;
       ] );
   ]

@@ -143,6 +143,41 @@ let test_overload () =
           if not (bool_member "ok" r3) then fail "ping was refused"
       | rs -> fail "expected 3 responses, got %d" (List.length rs))
 
+(* --- hull: clipped to the model's box, as umf_cli hull is ---------- *)
+
+(* Unclipped, sir3's hull blows up past horizon ~1 and turns NaN before
+   horizon 2. *)
+let test_hull_clipped () =
+  let { Optim.Box.lo; hi } = Model.clip (Registry.find_exn "sir3") in
+  with_server (fun t ->
+      let r =
+        List.hd
+          (Serve.process t
+             [ "{\"id\":1,\"op\":\"hull\",\"model\":\"sir3\",\"horizon\":2}" ])
+      in
+      let j = parse r in
+      if not (bool_member "ok" j) then fail "sir3 hull at horizon 2: %s" r;
+      let rows side =
+        match member side (member "result" j) with
+        | Json.Arr rows -> rows
+        | v -> fail "hull %s malformed: %s" side (Json.to_string v)
+      in
+      List.iter
+        (fun side ->
+          List.iter
+            (function
+              | Json.Arr xs ->
+                  List.iteri
+                    (fun i -> function
+                      | Json.Num v when v >= lo.(i) && v <= hi.(i) -> ()
+                      | v ->
+                          fail "sir3 hull %s coord %d = %s outside [%g, %g]"
+                            side i (Json.to_string v) lo.(i) hi.(i))
+                    xs
+              | v -> fail "hull %s row malformed: %s" side (Json.to_string v))
+            (rows side))
+        [ "lower"; "upper" ])
+
 (* --- transport: pipelined lines over a pipe ------------------------ *)
 
 let test_pipe_transport () =
@@ -206,7 +241,8 @@ let () =
   test_batch_determinism ();
   test_deadline ();
   test_overload ();
+  test_hull_clipped ();
   test_pipe_transport ();
   print_endline
     "serve-smoke OK (cache identity, batch determinism, deadline, \
-     backpressure, pipe transport)"
+     backpressure, clipped hull, pipe transport)"
