@@ -11,10 +11,15 @@
    tape, and checks the two determinism claims the consumers rely on:
    the batch kernel is bit-identical to the scalar loop, at every pool
    size.  Results go to BENCH_batch.json; the acceptance budget is a
-   >= 5x speedup on a >= 1024-point SIR drift sweep. *)
+   >= 5x speedup on a >= 1024-point SIR drift sweep.  A solver section
+   times the two set-valued solvers built on the kernel (every
+   model's differential hull, SIR's Birkhoff centre) and checks them
+   bitwise against the plan-stripped scalar path. *)
 open Umf
 
 let n_points = 4096
+
+let cores = Domain.recommended_domain_count ()
 
 let reps = 50
 
@@ -120,11 +125,83 @@ let pool_scaling () =
     :: List.map (fun (k, j, _) -> (k, j)) rows,
     List.for_all (fun (_, _, b) -> b) rows )
 
+(* The two set-valued solvers on the batch plan, against the same
+   inclusion stripped of its plan (the scalar per-face and per-escape
+   loops): wall time (median of [solver_reps] runs) and bit identity.
+   Hulls run at the meanfield_batch horizons (model k of the registry
+   at 1.5, 2 or 2.5 for k mod 3), clipped to the model's box, dt 0.02;
+   the Birkhoff centre is SIR's from (0.4, 0.4) with the defaults. *)
+let solver_reps = 5
+
+let median_wall f =
+  let walls = Array.init solver_reps (fun _ -> snd (Common.time_it f)) in
+  Array.sort Float.compare walls;
+  walls.(solver_reps / 2)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let hull_row k (name, m) =
+  let horizon = [| 1.5; 2.; 2.5 |].(k mod 3) in
+  let di = Di.of_model m in
+  let hull di =
+    Hull.bounds ~clip:(Model.clip m) di ~x0:(Model.x0 m) ~horizon ~dt:0.02
+  in
+  let wall = median_wall (fun () -> ignore (hull di)) in
+  let tr = hull di and tr' = hull { di with Di.plan = None } in
+  let bitwise =
+    same_bits tr.Hull.times tr'.Hull.times
+    && Array.for_all2 same_bits tr.Hull.lower tr'.Hull.lower
+    && Array.for_all2 same_bits tr.Hull.upper tr'.Hull.upper
+  in
+  Common.row "hull %-12s horizon %.1f %9.4f s  %s\n" name horizon wall
+    (if bitwise then "bitwise" else "DIVERGES");
+  ( name,
+    Obs.Json.Obj
+      [
+        ("horizon", Obs.Json.Num horizon);
+        ("wall_s", Obs.Json.Num wall);
+        ("bitwise_vs_stripped", Obs.Json.Bool bitwise);
+      ],
+    bitwise )
+
+let birkhoff_row () =
+  let di = Di.of_model (Registry.find_exn "sir") in
+  let x_start = Vec.create 2 0.4 in
+  let wall = median_wall (fun () -> ignore (Birkhoff.compute di ~x_start)) in
+  let r = Birkhoff.compute di ~x_start
+  and r' = Birkhoff.compute { di with Di.plan = None } ~x_start in
+  let coords (r : Birkhoff.result) =
+    Array.of_list (List.concat_map (fun (x, y) -> [ x; y ]) r.Birkhoff.polygon)
+  in
+  let bitwise =
+    r.Birkhoff.iterations = r'.Birkhoff.iterations
+    && r.Birkhoff.escaped = r'.Birkhoff.escaped
+    && same_bits (coords r) (coords r')
+  in
+  Common.row "birkhoff sir            %9.4f s  %s\n" wall
+    (if bitwise then "bitwise" else "DIVERGES");
+  ( Obs.Json.Obj
+      [
+        ("wall_s", Obs.Json.Num wall);
+        ("iterations", Obs.Json.Num (float_of_int r.Birkhoff.iterations));
+        ("bitwise_vs_stripped", Obs.Json.Bool bitwise);
+      ],
+    bitwise )
+
 let run () =
   Common.banner "BATCH: SoA batch kernel vs per-point tape evaluation";
   Common.header [ "model"; "scalar_ns"; "batch_ns"; "speedup"; "identity" ];
   let rows = List.map model_row (Registry.all ()) in
   let scaling, pools_bitwise = pool_scaling () in
+  let hulls = List.mapi hull_row (Registry.all ()) in
+  let birkhoff, birkhoff_bitwise = birkhoff_row () in
+  let solvers_bitwise =
+    List.for_all (fun (_, _, b) -> b) hulls && birkhoff_bitwise
+  in
   let sir_speedup, sir_bitwise =
     match List.find_opt (fun (n, _, _) -> n = "sir") rows with
     | Some (_, _, sb) -> sb
@@ -141,16 +218,29 @@ let run () =
   Common.claim "batch bit-identical to scalar loop at every pool size"
     all_bitwise
     (if all_bitwise then "all models, seq/2/4 domains" else "DIVERGENCE");
+  Common.claim "hull and birkhoff bit-identical to the stripped path"
+    solvers_bitwise
+    (if solvers_bitwise then "9 hulls, sir birkhoff" else "DIVERGENCE");
   let oc = open_out "BENCH_batch.json" in
   output_string oc
     (Obs.Json.to_string
        (Obs.Json.Obj
           [
+            ("cores", Obs.Json.Num (float_of_int cores));
             ("n_points", Obs.Json.Num (float_of_int n_points));
             ("reps", Obs.Json.Num (float_of_int reps));
             ( "models",
               Obs.Json.Obj (List.map (fun (n, j, _) -> (n, j)) rows) );
             ("sir_pool_scaling", Obs.Json.Obj scaling);
+            ( "solvers",
+              Obs.Json.Obj
+                [
+                  ("reps", Obs.Json.Num (float_of_int solver_reps));
+                  ("dt", Obs.Json.Num 0.02);
+                  ( "hull",
+                    Obs.Json.Obj (List.map (fun (n, j, _) -> (n, j)) hulls) );
+                  ("birkhoff_sir", birkhoff);
+                ] );
           ]));
   output_char oc '\n';
   close_out oc;

@@ -38,8 +38,9 @@ let compute ?theta_a ?theta_b ?(dt = 1e-2) ?(settle_time = 200.)
   let x0 = settle theta_a x_start in
   let t1 = run theta_b x0 settle_time in
   let t2 = run theta_a (Ode.Traj.last t1) settle_time in
-  let points = ref (to_point x0 :: traj_points t1 @ traj_points t2) in
-  let hull = ref (Geometry.convex_hull !points) in
+  let hull =
+    ref (Geometry.convex_hull (to_point x0 :: traj_points t1 @ traj_points t2))
+  in
   let theta_vertices = Optim.Box.vertices di.Di.theta in
   (* worst outward drift at a boundary point with outward normal nrm *)
   let outward_escape (px, py) (nx, ny) =
@@ -61,35 +62,59 @@ let compute ?theta_a ?theta_b ?(dt = 1e-2) ?(settle_time = 200.)
     outward_left := false;
     (* test resampled boundary points against their edge normals *)
     let boundary = Geometry.resample_boundary !hull n_boundary in
-    let edge_normals = Geometry.edge_midpoints !hull in
+    let edge_normals = Array.of_list (Geometry.edge_midpoints !hull) in
     let normal_for p =
-      (* use the normal of the nearest edge midpoint *)
-      let best = ref None in
-      List.iter
-        (fun (mid, nrm) ->
+      (* use the normal of the nearest edge midpoint (the first one on
+         a tie, or the last after a NaN distance) *)
+      let best = ref (-1) and best_d = ref Float.nan in
+      Array.iteri
+        (fun k (mid, _) ->
           let d = Geometry.dist p mid in
-          match !best with
-          | Some (bd, _) when bd <= d -> ()
-          | _ -> best := Some (d, nrm))
+          if !best < 0 || not (!best_d <= d) then begin
+            best := k;
+            best_d := d
+          end)
         edge_normals;
-      match !best with Some (_, nrm) -> nrm | None -> (0., 0.)
+      if !best < 0 then (0., 0.) else snd edge_normals.(!best)
     in
-    let additions = ref [] in
-    List.iter
-      (fun p ->
-        match outward_escape p (normal_for p) with
-        | Some (out, theta) when out > tol ->
-            outward_left := true;
-            let traj = run theta (of_point p) escape_time in
-            additions := traj_points traj @ !additions
-        | Some _ | None -> ())
-      boundary;
-    if !outward_left then begin
-      (* only the current hull vertices matter for the next hull *)
+    (* every escape of the round first, then all of them integrated as
+       lockstep lanes (each lane bitwise its scalar run) *)
+    let escapes =
+      List.filter_map
+        (fun p ->
+          match outward_escape p (normal_for p) with
+          | Some (out, theta) when out > tol -> Some (theta, of_point p)
+          | Some _ | None -> None)
+        boundary
+    in
+    if escapes <> [] then begin
+      outward_left := true;
+      let thetas, x0s = Array.split (Array.of_list escapes) in
+      let trajs =
+        Di.integrate_constant_batch ~obs di ~thetas ~x0s ~horizon:escape_time
+          ~dt
+      in
+      (* only the current hull vertices matter for the next hull; the
+         points go in as the escapes' trajectories, latest escape
+         first, then the hull *)
       let before = Geometry.polygon_area !hull in
-      points := !additions @ !hull;
-      hull := Geometry.convex_hull !points;
-      points := !hull;
+      let total =
+        Array.fold_left
+          (fun acc traj -> acc + Ode.Traj.length traj)
+          (List.length !hull) trajs
+      in
+      let xs = Array.make total 0. and ys = Array.make total 0. in
+      let k = ref 0 in
+      let add (x, y) =
+        xs.(!k) <- x;
+        ys.(!k) <- y;
+        incr k
+      in
+      for l = Array.length trajs - 1 downto 0 do
+        Array.iter (fun x -> add (to_point x)) trajs.(l).Ode.Traj.states
+      done;
+      List.iter add !hull;
+      hull := Geometry.convex_hull_xy xs ys;
       let after = Geometry.polygon_area !hull in
       if check && not (Float.is_finite after) then
         failwith

@@ -1,4 +1,5 @@
 open Umf_numerics
+module Obs = Umf_obs.Obs
 
 type t = {
   dim : int;
@@ -91,29 +92,34 @@ let lockstep_step ?par plan ~theta_at ~t ~h ~ys ~ths ~tmp ~k1 ~k2 ~k3 ~k4 =
   Tape.Plan.run_batch ?par plan ~xs:tmp ~ths ~out:k4;
   combine_rows h ys k1 k2 k3 k4
 
-(* drive [n] lanes from x0 to the horizon; [record t ys] observes the
-   shared time grid exactly as [Ode.integrate] builds it *)
-let lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0 ~horizon ~dt ~n
-    =
+(* drive lane l from [x0s.(l)] to the horizon; [record t ys] observes
+   the shared time grid exactly as [Ode.integrate] builds it.  Returns
+   the number of steps each lane took. *)
+let lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0s ~horizon ~dt =
   if horizon < 0. then invalid_arg "Ode: t1 < t0";
   if dt <= 0. then invalid_arg "Ode: dt <= 0";
   let d = di.dim in
-  if Vec.dim x0 <> d then invalid_arg "Di: x0 dimension mismatch";
-  let ys = Mat.init n d (fun _ j -> x0.(j)) in
+  let n = Array.length x0s in
+  Array.iter
+    (fun x0 -> if Vec.dim x0 <> d then invalid_arg "Di: x0 dimension mismatch")
+    x0s;
+  let ys = Mat.init n d (fun l j -> x0s.(l).(j)) in
   let ths = Mat.zeros n (Stdlib.max 1 theta_cols) in
   let tmp = Mat.zeros n d
   and k1 = Mat.zeros n d
   and k2 = Mat.zeros n d
   and k3 = Mat.zeros n d
   and k4 = Mat.zeros n d in
-  let t = ref 0. in
+  let t = ref 0. and steps = ref 0 in
   record !t ys;
   while !t < horizon -. 1e-12 do
     let h = Float.min dt (horizon -. !t) in
     lockstep_step ?par plan ~theta_at ~t:!t ~h ~ys ~ths ~tmp ~k1 ~k2 ~k3 ~k4;
     t := !t +. h;
+    incr steps;
     record !t ys
-  done
+  done;
+  !steps
 
 let mat_row (m : Mat.t) i =
   let d = Mat.cols m in
@@ -131,22 +137,26 @@ let theta_width di (thetas : Vec.t array) =
   Array.fold_left (fun w th -> Stdlib.max w (Vec.dim th))
     (Optim.Box.dim di.theta) thetas
 
-let integrate_constant_batch ?par di ~(thetas : Vec.t array) ~x0 ~horizon ~dt =
+let integrate_constant_batch ?par ?(obs = Obs.off) di ~(thetas : Vec.t array)
+    ~(x0s : Vec.t array) ~horizon ~dt =
   let n = Array.length thetas in
+  if Array.length x0s <> n then
+    invalid_arg "Di.integrate_constant_batch: thetas and x0s differ in length";
   if n = 0 then [||]
   else
     match di.plan with
     | None ->
-        Array.map
-          (fun theta -> integrate_constant di ~theta ~x0 ~horizon ~dt)
-          thetas
+        Array.map2
+          (fun theta x0 -> integrate_constant ~obs di ~theta ~x0 ~horizon ~dt)
+          thetas x0s
     | Some plan ->
-        let times = ref [] and states = Array.make n [] in
+        let sp = Obs.span_begin obs "ode.integrate" in
+        (* one snapshot of all lanes per grid time, split per lane at
+           the end *)
+        let times = ref [] and snaps = ref [] in
         let record t ys =
           times := t :: !times;
-          for l = 0 to n - 1 do
-            states.(l) <- mat_row ys l :: states.(l)
-          done
+          snaps := Array.copy (Mat.data ys) :: !snaps
         in
         let theta_cols = theta_width di thetas in
         (* constant θ: fill the rows once, before the first stage *)
@@ -157,13 +167,21 @@ let integrate_constant_batch ?par di ~(thetas : Vec.t array) ~x0 ~horizon ~dt =
             fill_thetas ths thetas
           end
         in
-        lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0 ~horizon
-          ~dt ~n;
-        Array.map
-          (fun rev ->
-            let sts = Array.of_list (List.rev rev) in
-            Ode.Traj.of_arrays (Array.of_list (List.rev !times)) sts)
-          states
+        let steps =
+          lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0s ~horizon
+            ~dt
+        in
+        if Obs.enabled obs then begin
+          (* lane-steps, so the counter reads as the per-lane loop's *)
+          Obs.count obs "ode.steps" (n * steps);
+          Obs.span_end ~metrics:[ ("steps", float_of_int (n * steps)) ] obs sp
+        end;
+        let times = Array.of_list (List.rev !times)
+        and snaps = Array.of_list (List.rev !snaps) in
+        let d = di.dim in
+        Array.init n (fun l ->
+            Ode.Traj.of_arrays (Array.copy times)
+              (Array.map (fun snap -> Array.sub snap (l * d) d) snaps))
 
 let integrate_to_constant_batch ?par di ~(thetas : Vec.t array) ~x0 ~horizon
     ~dt =
@@ -187,8 +205,9 @@ let integrate_to_constant_batch ?par di ~(thetas : Vec.t array) ~x0 ~horizon
             fill_thetas ths thetas
           end
         in
-        lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0 ~horizon
-          ~dt ~n;
+        ignore
+          (lockstep_run ?par di plan ~theta_at ~theta_cols ~record
+             ~x0s:(Array.make n x0) ~horizon ~dt);
         let ys = match !last with Some m -> m | None -> assert false in
         Array.init n (fun l -> mat_row ys l)
 
@@ -215,8 +234,9 @@ let integrate_control_batch ?par di
             done
           done
         in
-        lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0 ~horizon
-          ~dt ~n;
+        ignore
+          (lockstep_run ?par di plan ~theta_at ~theta_cols ~record
+             ~x0s:(Array.make n x0) ~horizon ~dt);
         let ys = match !last with Some m -> m | None -> assert false in
         Array.init n (fun l -> mat_row ys l)
 

@@ -80,13 +80,19 @@ val integrate_control :
 
 val integrate_constant_batch :
   ?par:Tape.Plan.runner ->
+  ?obs:Umf_obs.Obs.t ->
   t ->
   thetas:Vec.t array ->
-  x0:Vec.t ->
+  x0s:Vec.t array ->
   horizon:float ->
   dt:float ->
   Ode.Traj.t array
-(** One trajectory per parameter vector, from the shared [x0]. *)
+(** One trajectory per lane l, under [thetas.(l)] from [x0s.(l)].
+    [obs] records one ["ode.integrate"] span for the whole batch and
+    adds lanes × steps to ["ode.steps"] — the count the per-lane loop
+    reports (without a plan, that loop runs and records one span per
+    lane).  @raise Invalid_argument if [thetas] and [x0s] differ in
+    length. *)
 
 val integrate_to_constant_batch :
   ?par:Tape.Plan.runner ->

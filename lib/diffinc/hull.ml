@@ -35,132 +35,190 @@ type face_extremum =
    candidate scans concatenate into ONE batched drift evaluation, and
    the follow-up coordinate descents run in lockstep across faces (one
    batched evaluation per probe wave — plus first, then minus, exactly
-   the scalar probe order).  Candidate enumeration order, the
-   keep-first fold rule, the radius schedule, the 1e-15 bounds slack
-   and the strict-improvement accept test all transcribe
-   [Optim.minimize_box] / [Optim.coordinate_refine], and the batch
-   kernel is bit-identical to the scalar tape — so each face value
-   equals its scalar [face_extremum] twin bitwise. *)
-let batched_face_extrema ~grid ~refine di plan ~lo ~hi =
+   the scalar probe order).  Candidate order, the keep-first fold rule,
+   the radius schedule, the 1e-15 bounds slack and the
+   strict-improvement accept test all transcribe [Optim.minimize_box] /
+   [Optim.coordinate_refine], and the batch kernel is bit-identical to
+   the scalar tape — so each face value equals its scalar
+   [face_extremum] twin bitwise.
+
+   [face_scanner] owns the buffers of one [bounds] call: the candidate
+   rows (kept while a step needs the same row count) and the probe
+   rows, where row j always holds face j's probe, reused by every wave
+   of every RHS evaluation.  Rows of inactive probes keep stale values;
+   they are evaluated with the rest and ignored. *)
+let face_scanner ~grid ~refine di plan =
   let d = di.Di.dim in
   let th = di.Di.theta in
   let thd = Optim.Box.dim th in
   let jd = d + thd in
   let nf = 2 * d in
-  (* face j < d minimises f_(j) on {z_j = lo_j}; face j >= d maximises
-     f_(j-d) on {z_(j-d) = hi_(j-d)}, as a minimisation of -f *)
-  let boxes =
-    Array.init nf (fun j ->
-        let coord = j mod d in
-        let v = if j < d then lo.(coord) else hi.(coord) in
-        let face_lo = Vec.copy lo and face_hi = Vec.copy hi in
-        face_lo.(coord) <- v;
-        face_hi.(coord) <- v;
-        Optim.Box.make
-          (Array.append face_lo th.Optim.Box.lo)
-          (Array.append face_hi th.Optim.Box.hi))
+  let tc = Stdlib.max 1 thd in
+  let cand = ref (Mat.zeros 0 d, Mat.zeros 0 tc, Mat.zeros 0 d) in
+  let cand_bufs rows =
+    let ((xs, _, _) as bufs) = !cand in
+    if Mat.rows xs = rows then bufs
+    else begin
+      cand := (Mat.zeros rows d, Mat.zeros rows tc, Mat.zeros rows d);
+      !cand
+    end
   in
+  let pxs = Mat.zeros nf d and pths = Mat.zeros nf tc in
+  let pvals = Mat.zeros nf d in
+  (* face j < d minimises f_(j) on {z_j = lo_j}; face j >= d maximises
+     f_(j-d) on {z_(j-d) = hi_(j-d)}, as a minimisation of -f.  Face j's
+     box is [flo.(j), fhi.(j)]; its best point and value so far are
+     [best.(j)] and [best_f.(j)]. *)
+  let flo = Array.make_matrix nf jd 0. and fhi = Array.make_matrix nf jd 0. in
+  let best = Array.make_matrix nf jd 0. and best_f = Array.make nf Float.nan in
   let signed j raw = if j < d then raw else -.raw in
-  let fill xs ths row (z : Vec.t) =
+  let same_bits a b =
+    Array.length a = Array.length b
+    && Array.for_all2
+         (fun x y ->
+           Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         a b
+  in
+  let count axes = Array.fold_left (fun n ax -> n * Array.length ax) 1 axes in
+  (* rows [r, r + count axes) of (xs, ths) := the product of the face's
+     axes, last axis fastest — the order of [Optim.Box.vertices] and
+     [Optim.Box.sample_grid] *)
+  let fill_product xs ths axes r =
+    let xd = Mat.data xs and td = Mat.data ths in
+    let n = count axes in
+    let idx = Array.make jd 0 in
+    for row = r to r + n - 1 do
+      for i = 0 to d - 1 do
+        xd.((row * d) + i) <- axes.(i).(idx.(i))
+      done;
+      for i = 0 to thd - 1 do
+        td.((row * tc) + i) <- axes.(d + i).(idx.(d + i))
+      done;
+      let i = ref (jd - 1) in
+      while
+        !i >= 0
+        &&
+        (idx.(!i) <- idx.(!i) + 1;
+         idx.(!i) = Array.length axes.(!i))
+      do
+        idx.(!i) <- 0;
+        decr i
+      done
+    done;
+    r + n
+  in
+  let write_probe j =
+    let b = best.(j) in
     for i = 0 to d - 1 do
-      Mat.set xs row i z.(i)
+      Mat.set pxs j i b.(i)
     done;
     for i = 0 to thd - 1 do
-      Mat.set ths row i z.(d + i)
+      Mat.set pths j i b.(d + i)
     done
   in
-  (* candidate scan: vertices then the factorial grid, per face *)
-  let cands =
-    Array.map
-      (fun b ->
-        Array.of_list (Optim.Box.vertices b @ Optim.Box.sample_grid b grid))
-      boxes
-  in
-  let total = Array.fold_left (fun acc c -> acc + Array.length c) 0 cands in
-  let xs = Mat.zeros total d and ths = Mat.zeros total (Stdlib.max 1 thd) in
-  let row = ref 0 in
-  Array.iter
-    (Array.iter (fun z ->
-         fill xs ths !row z;
-         incr row))
-    cands;
-  let vals = Mat.zeros total d in
-  Tape.Plan.run_batch plan ~xs ~ths ~out:vals;
-  let best_x = Array.make nf [||] and best_f = Array.make nf Float.nan in
-  let row = ref 0 in
-  Array.iteri
-    (fun j cs ->
+  fun ~lo ~hi ->
+    for j = 0 to nf - 1 do
       let coord = j mod d in
-      let bx = ref None in
-      Array.iter
-        (fun z ->
-          let fx = signed j (Mat.get vals !row coord) in
-          incr row;
-          match !bx with
-          | Some (_, fb) when fb <= fx -> ()
-          | _ -> bx := Some (z, fx))
-        cs;
-      match !bx with
-      | Some (z, f) ->
-          best_x.(j) <- Vec.copy z;
-          best_f.(j) <- f
-      | None -> assert false)
-    cands;
-  (* lockstep coordinate descent: the wave over faces of one (sweep,
-     coordinate, direction) probe *)
-  let probe_rows = Array.make nf (-1) in
-  let probe_cand : Vec.t array = Array.make nf [||] in
-  let radius = ref 0.25 in
-  for _ = 1 to refine do
-    for i = 0 to jd - 1 do
-      List.iter
-        (fun dir ->
-          let nrows = ref 0 in
-          Array.iteri
-            (fun j b ->
-              probe_rows.(j) <- -1;
-              let span = b.Optim.Box.hi.(i) -. b.Optim.Box.lo.(i) in
+      let v = if j < d then lo.(coord) else hi.(coord) in
+      for i = 0 to jd - 1 do
+        flo.(j).(i) <- (if i < d then lo.(i) else th.Optim.Box.lo.(i - d));
+        fhi.(j).(i) <- (if i < d then hi.(i) else th.Optim.Box.hi.(i - d))
+      done;
+      flo.(j).(coord) <- v;
+      fhi.(j).(coord) <- v
+    done;
+    (* candidate scan: vertices, then the factorial grid unless it
+       repeats the vertex rows bit for bit (with grid = 2 and exact
+       linspace endpoints it does).  The keep-first fold over [V; V]
+       picks the same row as over V: after its last NaN the fold is a
+       first-minimum search, and that suffix is the same in both. *)
+    let scans =
+      Array.init nf (fun j ->
+          let lo = flo.(j) and hi = fhi.(j) in
+          let vax =
+            Array.init jd (fun i -> Optim.Box.axis_vertices lo.(i) hi.(i))
+          and gax =
+            Array.init jd (fun i -> Optim.Box.axis_grid grid lo.(i) hi.(i))
+          in
+          if Array.for_all2 same_bits vax gax then [ vax ] else [ vax; gax ])
+    in
+    let rows =
+      Array.fold_left
+        (List.fold_left (fun acc axes -> acc + count axes))
+        0 scans
+    in
+    let xs, ths, vals = cand_bufs rows in
+    (* face j's rows end at ends.(j) *)
+    let ends = Array.make nf 0 and r = ref 0 in
+    Array.iteri
+      (fun j axess ->
+        List.iter (fun axes -> r := fill_product xs ths axes !r) axess;
+        ends.(j) <- !r)
+      scans;
+    Tape.Plan.run_batch plan ~xs ~ths ~out:vals;
+    let start = ref 0 in
+    for j = 0 to nf - 1 do
+      let coord = j mod d in
+      let br = ref !start and bf = ref (signed j (Mat.get vals !start coord)) in
+      for r = !start + 1 to ends.(j) - 1 do
+        let fx = signed j (Mat.get vals r coord) in
+        if not (!bf <= fx) then begin
+          br := r;
+          bf := fx
+        end
+      done;
+      for i = 0 to d - 1 do
+        best.(j).(i) <- Mat.get xs !br i
+      done;
+      for i = 0 to thd - 1 do
+        best.(j).(d + i) <- Mat.get ths !br i
+      done;
+      best_f.(j) <- !bf;
+      start := ends.(j)
+    done;
+    (* lockstep coordinate descent: the wave over faces of one (sweep,
+       coordinate, direction) probe *)
+    let probe = Array.make nf Float.nan and active = Array.make nf false in
+    let radius = ref 0.25 in
+    for _ = 1 to refine do
+      for i = 0 to jd - 1 do
+        List.iter
+          (fun dir ->
+            let any = ref false in
+            for j = 0 to nf - 1 do
+              active.(j) <- false;
+              let blo = flo.(j).(i) and bhi = fhi.(j).(i) in
+              let span = bhi -. blo in
               if span > 0. then begin
                 let step = !radius *. span in
-                let v = best_x.(j).(i) +. (dir *. step) in
-                if
-                  v >= b.Optim.Box.lo.(i) -. 1e-15
-                  && v <= b.Optim.Box.hi.(i) +. 1e-15
-                then begin
-                  let cand = Vec.copy best_x.(j) in
-                  cand.(i) <-
-                    Float.min b.Optim.Box.hi.(i)
-                      (Float.max b.Optim.Box.lo.(i) v);
-                  probe_cand.(j) <- cand;
-                  probe_rows.(j) <- !nrows;
-                  incr nrows
+                let v = best.(j).(i) +. (dir *. step) in
+                if v >= blo -. 1e-15 && v <= bhi +. 1e-15 then begin
+                  probe.(j) <- Float.min bhi (Float.max blo v);
+                  active.(j) <- true;
+                  any := true;
+                  write_probe j;
+                  if i < d then Mat.set pxs j i probe.(j)
+                  else Mat.set pths j (i - d) probe.(j)
                 end
-              end)
-            boxes;
-          if !nrows > 0 then begin
-            let xs = Mat.zeros !nrows d
-            and ths = Mat.zeros !nrows (Stdlib.max 1 thd) in
-            Array.iteri
-              (fun j r -> if r >= 0 then fill xs ths r probe_cand.(j))
-              probe_rows;
-            let vals = Mat.zeros !nrows d in
-            Tape.Plan.run_batch plan ~xs ~ths ~out:vals;
-            Array.iteri
-              (fun j r ->
-                if r >= 0 then begin
-                  let fc = signed j (Mat.get vals r (j mod d)) in
+              end
+            done;
+            if !any then begin
+              Tape.Plan.run_batch plan ~xs:pxs ~ths:pths ~out:pvals;
+              for j = 0 to nf - 1 do
+                if active.(j) then begin
+                  let fc = signed j (Mat.get pvals j (j mod d)) in
                   if fc < best_f.(j) then begin
-                    best_x.(j) <- probe_cand.(j);
+                    best.(j).(i) <- probe.(j);
                     best_f.(j) <- fc
                   end
-                end)
-              probe_rows
-          end)
-        [ 1.; -1. ]
+                end
+              done
+            end)
+          [ 1.; -1. ]
+      done;
+      radius := !radius *. 0.7
     done;
-    radius := !radius *. 0.7
-  done;
-  Array.init nf (fun j -> signed j best_f.(j))
+    Array.init nf (fun j -> signed j best_f.(j))
 
 let bounds ?(grid = 2) ?(refine = 8) ?(check = false) ?clip
     ?face_extremum:custom ?(obs = Obs.off) di ~x0 ~horizon ~dt =
@@ -190,11 +248,12 @@ let bounds ?(grid = 2) ?(refine = 8) ?(check = false) ?clip
     | None, Some plan ->
         (* compiled drift: solve all 2d faces per step in batch
            (bit-identical to the scalar per-face path) *)
+        let scan = face_scanner ~grid ~refine di plan in
         fun _t z ->
           let lo = Array.sub z 0 d and hi = Array.sub z d d in
           let lo' = Vec.cmin lo hi and hi' = Vec.cmax lo hi in
           if on then face_evals := !face_evals + (2 * d);
-          batched_face_extrema ~grid ~refine di plan ~lo:lo' ~hi:hi'
+          scan ~lo:lo' ~hi:hi'
     | _ ->
         fun _t z ->
           let lo = Array.sub z 0 d and hi = Array.sub z d d in

@@ -42,6 +42,10 @@ val bounds :
 (** Integrate the 2d-dimensional hull system from the degenerate hull
     [x0, x0].  [grid]/[refine] tune the default per-face box
     optimisation (defaults 2 and 8; vertices are always included).
+    With the default [grid = 2] the grid adds no candidates beyond the
+    vertices: its points are the vertices, up to the rounding of
+    [lo + (hi - lo)], and when they match bit for bit the face scan
+    evaluates the vertices once.  [grid >= 3] adds interior points.
     [check] (default false) raises [Failure] as soon as a hull bound
     becomes NaN or infinite, reporting the offending time and step —
     the runtime sanitizer the {!Certified} path switches on.

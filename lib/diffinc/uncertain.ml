@@ -50,7 +50,11 @@ let transient_envelope ?pool ?obs ?(dt = 1e-2) ?(grid = 21) di ~x0 ~times =
            per-trajectory ode.integrate spans); a pool keeps the
            per-θ parallel map from PR 2. *)
         let thetas = Array.of_list (theta_grid di grid) in
-        let trajs = Di.integrate_constant_batch di ~thetas ~x0 ~horizon ~dt in
+        let trajs =
+          Di.integrate_constant_batch di ~thetas
+            ~x0s:(Array.make (Array.length thetas) x0)
+            ~horizon ~dt
+        in
         Array.map (fun traj -> Array.map (Ode.Traj.at traj) times) trajs
     | _ -> map_grid ?pool ?obs ~stage:"uncertain-sweep" di grid sample
   in

@@ -1,36 +1,175 @@
 type point = float * float
 
-let cross (ox, oy) (ax, ay) (bx, by) =
+let[@inline] cross_xy ox oy ax ay bx by =
   ((ax -. ox) *. (by -. oy)) -. ((ay -. oy) *. (bx -. ox))
+
+let cross (ox, oy) (ax, ay) (bx, by) = cross_xy ox oy ax ay bx by
 
 let dist (ax, ay) (bx, by) = Float.hypot (bx -. ax) (by -. ay)
 
+(* (x1, y1) <= (x2, y2) in the order of [compare] on points:
+   lexicographic, each coordinate by [Float.compare] (so -0. = 0., and
+   NaN equals NaN and sorts first) *)
+let[@inline] point_le x1 y1 x2 y2 =
+  let c = Float.compare x1 x2 in
+  c < 0 || (c = 0 && Float.compare y1 y2 <= 0)
+
+(* Stable merge sort of the points (xs.(k), ys.(k)) carrying their
+   input positions ids.(k): insertion-sorted runs of 16, then merge
+   passes between the arrays and one scratch copy.  Returns the sorted
+   triple (the inputs or the scratch copy). *)
+let sort_points xs ys ids =
+  let n = Array.length xs in
+  let run = 16 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = Stdlib.min n (!lo + run) in
+    for i = !lo + 1 to hi - 1 do
+      let x = xs.(i) and y = ys.(i) and id = ids.(i) in
+      let j = ref (i - 1) in
+      while !j >= !lo && not (point_le xs.(!j) ys.(!j) x y) do
+        xs.(!j + 1) <- xs.(!j);
+        ys.(!j + 1) <- ys.(!j);
+        ids.(!j + 1) <- ids.(!j);
+        decr j
+      done;
+      xs.(!j + 1) <- x;
+      ys.(!j + 1) <- y;
+      ids.(!j + 1) <- id
+    done;
+    lo := hi
+  done;
+  let src = ref (xs, ys, ids)
+  and dst = ref (Array.make n 0., Array.make n 0., Array.make n 0) in
+  let width = ref run in
+  while !width < n do
+    let (sx, sy, si), (dx, dy, di) = (!src, !dst) in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = Stdlib.min n (!lo + !width) in
+      let hi = Stdlib.min n (mid + !width) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        (* the left run on ties: stability *)
+        let from =
+          if !j >= hi || (!i < mid && point_le sx.(!i) sy.(!i) sx.(!j) sy.(!j))
+          then (
+            let f = !i in
+            incr i;
+            f)
+          else (
+            let f = !j in
+            incr j;
+            f)
+        in
+        dx.(k) <- sx.(from);
+        dy.(k) <- sy.(from);
+        di.(k) <- si.(from)
+      done;
+      lo := hi
+    done;
+    src := (dx, dy, di);
+    dst := (sx, sy, si);
+    width := 2 * !width
+  done;
+  !src
+
+(* [List.sort_uniq compare] keeps one point of each class of equal
+   points.  Its merge sort splits n points into n/2 and n - n/2 down to
+   leaves of 2 or 3, and on a tie keeps the point from the earlier
+   half or leaf; so it keeps a class's first point in input order,
+   except that a 3-point leaf whose first two points tie keeps the
+   second.  [leaf3] marks the first position of every 3-point leaf. *)
+let leaf3_starts n =
+  let leaf3 = Bytes.make n '\000' in
+  let rec leaves off len =
+    if len = 3 then Bytes.set leaf3 off '\001'
+    else if len > 3 then begin
+      let h = len asr 1 in
+      leaves off h;
+      leaves (off + h) (len - h)
+    end
+  in
+  leaves 0 n;
+  leaf3
+
+(* the hull of (xs.(k), ys.(k)) in input order k; sorts the arrays in
+   place *)
+let hull_in_place xs ys =
+  let n = Array.length xs in
+  let sx, sy, si = sort_points xs ys (Array.init n Fun.id) in
+  (* the distinct points, compacted in place: each run of equal points
+     (in input order, the sort being stable) is replaced by the member
+     [List.sort_uniq compare] keeps *)
+  let leaf3 = leaf3_starts n in
+  let m = ref 0 and k = ref 0 in
+  while !k < n do
+    let e = ref (!k + 1) in
+    while
+      !e < n
+      && Float.compare sx.(!e) sx.(!k) = 0
+      && Float.compare sy.(!e) sy.(!k) = 0
+    do
+      incr e
+    done;
+    let first = si.(!k) in
+    let keep =
+      if
+        Bytes.get leaf3 first = '\001'
+        && !e > !k + 1
+        && si.(!k + 1) = first + 1
+      then !k + 1
+      else !k
+    in
+    sx.(!m) <- sx.(keep);
+    sy.(!m) <- sy.(keep);
+    incr m;
+    k := !e
+  done;
+  let m = !m in
+  let point k = (sx.(k), sy.(k)) in
+  if m <= 2 then List.init m point
+  else begin
+    (* Andrew's monotone chain.  [half step] runs one chain over the
+       sorted points (forward for step 1, backward for step -1) on a
+       stack; a non-positive cross product means the top point is not
+       a strict left turn and is popped.  Each chain's last point starts
+       the other chain, so it is dropped. *)
+    let stack = Array.make m 0 in
+    let half step =
+      let top = ref 0 in
+      for k = 0 to m - 1 do
+        let p = if step > 0 then k else m - 1 - k in
+        while
+          !top >= 2
+          &&
+          let o = stack.(!top - 2) and a = stack.(!top - 1) in
+          cross_xy sx.(o) sy.(o) sx.(a) sy.(a) sx.(p) sy.(p) <= 0.
+        do
+          decr top
+        done;
+        stack.(!top) <- p;
+        incr top
+      done;
+      List.init (!top - 1) (fun i -> point stack.(i))
+    in
+    let lower = half 1 in
+    lower @ half (-1)
+  end
+
+let convex_hull_xy xs ys =
+  if Array.length ys <> Array.length xs then
+    invalid_arg "Geometry.convex_hull_xy: coordinate arrays differ in length";
+  if Array.length xs < 2 then
+    List.init (Array.length xs) (fun k -> (xs.(k), ys.(k)))
+  else hull_in_place (Array.copy xs) (Array.copy ys)
+
 let convex_hull points =
-  let pts = List.sort_uniq compare points in
-  match pts with
-  | [] | [ _ ] | [ _; _ ] -> pts
+  match points with
+  | [] | [ _ ] -> points
   | _ ->
-      (* Andrew's monotone chain.  [half] folds the sorted points into
-         one hull chain, kept in reverse order; a non-positive cross
-         product means the middle point is not a strict left turn and
-         is popped. *)
-      let half input =
-        List.fold_left
-          (fun acc p ->
-            let rec pop = function
-              | a :: b :: rest when cross b a p <= 0. -> pop (b :: rest)
-              | l -> l
-            in
-            p :: pop acc)
-          [] input
-      in
-      let lower = half pts in
-      let upper = half (List.rev pts) in
-      (* each chain ends (in reverse order, starts) with the first
-         point of the other chain; drop one endpoint from each *)
-      let strip = function [] -> [] | _ :: tl -> tl in
-      let hull = List.rev (strip lower) @ List.rev (strip upper) in
-      if hull = [] then pts else hull
+      let pts = Array.of_list points in
+      hull_in_place (Array.map fst pts) (Array.map snd pts)
 
 let polygon_area poly =
   match poly with

@@ -16,7 +16,23 @@ val dist : point -> point -> float
 val convex_hull : point list -> point list
 (** Andrew's monotone chain; collinear points on the hull boundary are
     dropped.  Degenerate inputs (fewer than 3 distinct points) return
-    the distinct points. *)
+    the distinct points.
+
+    Points are distinct unless [compare] calls them equal: coordinate
+    by coordinate, [0.] equals [-0.] and NaN equals NaN.  Of such equal
+    points the result carries the one [List.sort_uniq compare] keeps:
+    [sort_uniq]'s merge sort splits n points into n/2 and n - n/2 down
+    to leaves of 2 or 3, and it keeps the first of the equal points in
+    input order, except when the first two points of a 3-point leaf are
+    equal, where it keeps the second.  The result is bitwise
+    [List.sort_uniq compare] followed by a list monotone chain; the
+    implementation sorts unboxed coordinate arrays instead. *)
+
+val convex_hull_xy : float array -> float array -> point list
+(** [convex_hull_xy xs ys] is {!convex_hull} of the points
+    [(xs.(k), ys.(k))] in the order of [k], without building the point
+    list.  The arrays are not modified.
+    @raise Invalid_argument if the arrays differ in length. *)
 
 val polygon_area : point list -> float
 (** Absolute area by the shoelace formula. *)

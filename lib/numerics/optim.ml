@@ -134,23 +134,17 @@ module Box = struct
 
   let midpoint b = Vec.lerp b.lo b.hi 0.5
 
-  let vertices b =
-    let n = dim b in
-    let rec build i acc =
-      if i = n then [ Array.of_list (List.rev acc) ]
-      else if b.lo.(i) = b.hi.(i) then build (i + 1) (b.lo.(i) :: acc)
-      else build (i + 1) (b.lo.(i) :: acc) @ build (i + 1) (b.hi.(i) :: acc)
-    in
-    build 0 []
+  let axis_vertices lo hi = if lo = hi then [| lo |] else [| lo; hi |]
 
-  let sample_grid b k =
+  let axis_grid k lo hi =
     if k < 1 then invalid_arg "Box.sample_grid: need k >= 1";
-    let n = dim b in
-    let axis i =
-      if b.lo.(i) = b.hi.(i) || k = 1 then [| Interval.clamp (Interval.make b.lo.(i) b.hi.(i)) (0.5 *. (b.lo.(i) +. b.hi.(i))) |]
-      else Vec.linspace b.lo.(i) b.hi.(i) k
-    in
-    let axes = Array.init n axis in
+    if lo = hi || k = 1 then
+      [| Interval.clamp (Interval.make lo hi) (0.5 *. (lo +. hi)) |]
+    else Vec.linspace lo hi k
+
+  (* all points of the product of the axes, last axis fastest *)
+  let product axes =
+    let n = Array.length axes in
     let rec build i acc =
       if i = n then [ Array.of_list (List.rev acc) ]
       else
@@ -158,6 +152,13 @@ module Box = struct
         |> List.concat_map (fun v -> build (i + 1) (v :: acc))
     in
     build 0 []
+
+  let vertices b =
+    product (Array.init (dim b) (fun i -> axis_vertices b.lo.(i) b.hi.(i)))
+
+  let sample_grid b k =
+    if k < 1 then invalid_arg "Box.sample_grid: need k >= 1";
+    product (Array.init (dim b) (fun i -> axis_grid k b.lo.(i) b.hi.(i)))
 
   let sample_uniform rng b =
     Array.init (dim b) (fun i -> Rng.float_range rng b.lo.(i) b.hi.(i))

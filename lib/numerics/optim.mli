@@ -33,10 +33,22 @@ module Box : sig
   val midpoint : t -> Vec.t
 
   val vertices : t -> Vec.t list
-  (** All [2^n] corner points (degenerate coordinates collapse). *)
+  (** All [2^n] corner points (degenerate coordinates collapse), in
+      lexicographic order of the {!axis_vertices}, last axis fastest. *)
 
   val sample_grid : t -> int -> Vec.t list
-  (** Full factorial grid with [k] points per dimension. *)
+  (** Full factorial grid with [k] points per dimension, in
+      lexicographic order of the {!axis_grid}, last axis fastest. *)
+
+  val axis_vertices : float -> float -> float array
+  (** The values one axis [[lo, hi]] contributes to {!vertices}:
+      [[|lo|]] when [lo = hi], else [[|lo; hi|]]. *)
+
+  val axis_grid : int -> float -> float -> float array
+  (** The [k] values one axis [[lo, hi]] contributes to {!sample_grid}:
+      the clamped midpoint when [lo = hi] or [k = 1], else
+      [Vec.linspace lo hi k].
+      @raise Invalid_argument if [k < 1]. *)
 
   val sample_uniform : Rng.t -> t -> Vec.t
 

@@ -95,6 +95,7 @@ module Hull = Umf_diffinc.Hull
 module Pontryagin = Umf_diffinc.Pontryagin
 module Uncertain = Umf_diffinc.Uncertain
 module Reach = Umf_diffinc.Reach
+module Birkhoff = Umf_diffinc.Birkhoff
 
 let vec_eq =
   Alcotest.testable
@@ -108,18 +109,44 @@ let dis () =
   let di = Di.of_model m in
   (di, { di with Di.plan = None }, m)
 
+(* every registry model at a short horizon: jsq2 and bikenet have the
+   faces whose candidate rows take many axes, and where the factorial
+   grid sometimes repeats the vertex rows and sometimes does not *)
 let test_hull_ab () =
-  let di, di_scalar, m = dis () in
-  let x0 = Model.x0 m in
-  let b = Hull.bounds ~clip:(Model.clip m) di ~x0 ~horizon:2. ~dt:0.05 in
-  let b' = Hull.bounds ~clip:(Model.clip m) di_scalar ~x0 ~horizon:2. ~dt:0.05 in
-  Array.iteri
-    (fun i lo ->
-      Alcotest.check vec_eq (Printf.sprintf "lower %d" i)
-        b'.Hull.lower.(i) lo;
-      Alcotest.check vec_eq (Printf.sprintf "upper %d" i)
-        b'.Hull.upper.(i) b.Hull.upper.(i))
-    b.Hull.lower
+  List.iter
+    (fun (name, m) ->
+      let di = Di.of_model m in
+      let di_scalar = { di with Di.plan = None } in
+      let x0 = Model.x0 m in
+      let hull di =
+        Hull.bounds ~clip:(Model.clip m) di ~x0 ~horizon:0.2 ~dt:0.05
+      in
+      let b = hull di and b' = hull di_scalar in
+      Array.iteri
+        (fun i lo ->
+          Alcotest.check vec_eq (Printf.sprintf "%s lower %d" name i)
+            b'.Hull.lower.(i) lo;
+          Alcotest.check vec_eq (Printf.sprintf "%s upper %d" name i)
+            b'.Hull.upper.(i) b.Hull.upper.(i))
+        b.Hull.lower)
+    (Umf_models.Registry.all ())
+
+(* escape runs as lockstep lanes vs one scalar run per escape *)
+let test_birkhoff_ab () =
+  let di, di_scalar, _ = dis () in
+  let x_start = Vec.create 2 0.4 in
+  let r = Birkhoff.compute di ~x_start in
+  let r' = Birkhoff.compute di_scalar ~x_start in
+  Alcotest.(check int) "iterations" r'.Birkhoff.iterations
+    r.Birkhoff.iterations;
+  Alcotest.(check bool) "escaped" r'.Birkhoff.escaped r.Birkhoff.escaped;
+  Alcotest.(check int) "vertices" (List.length r'.Birkhoff.polygon)
+    (List.length r.Birkhoff.polygon);
+  List.iteri
+    (fun k ((x', y'), (x, y)) ->
+      Alcotest.check vec_eq (Printf.sprintf "vertex %d" k) [| x'; y' |]
+        [| x; y |])
+    (List.combine r'.Birkhoff.polygon r.Birkhoff.polygon)
 
 let test_pontryagin_ab () =
   let di, di_scalar, m = dis () in
@@ -170,5 +197,6 @@ let () =
           Alcotest.test_case "pontryagin series" `Quick test_pontryagin_ab;
           Alcotest.test_case "uncertain envelope" `Quick test_uncertain_ab;
           Alcotest.test_case "reach cloud" `Quick test_reach_ab;
+          Alcotest.test_case "birkhoff centre" `Quick test_birkhoff_ab;
         ] );
     ]

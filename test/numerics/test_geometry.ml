@@ -123,6 +123,87 @@ let prop_hull_idempotent =
       let h2 = Geometry.convex_hull h1 in
       List.sort compare h1 = List.sort compare h2)
 
+(* The list implementation [Geometry.convex_hull] replaced (a
+   polymorphic [List.sort_uniq compare] and a list monotone chain),
+   kept verbatim as the oracle for its output, tie rule included. *)
+let reference_hull points =
+  let cross (ox, oy) (ax, ay) (bx, by) =
+    ((ax -. ox) *. (by -. oy)) -. ((ay -. oy) *. (bx -. ox))
+  in
+  let pts = List.sort_uniq compare points in
+  match pts with
+  | [] | [ _ ] | [ _; _ ] -> pts
+  | _ ->
+      let half input =
+        List.fold_left
+          (fun acc p ->
+            let rec pop = function
+              | a :: b :: rest when cross b a p <= 0. -> pop (b :: rest)
+              | l -> l
+            in
+            p :: pop acc)
+          [] input
+      in
+      let lower = half pts in
+      let upper = half (List.rev pts) in
+      let strip = function [] -> [] | _ :: tl -> tl in
+      let hull = List.rev (strip lower) @ List.rev (strip upper) in
+      if hull = [] then pts else hull
+
+(* lists rich in ties: repeated points, signed-zero twins (equal under
+   [compare], different bits), collinear runs and NaN coordinates *)
+let tricky_points_gen =
+  let open QCheck.Gen in
+  let coord =
+    frequency
+      [
+        (4, oneofl [ 0.; -0.; 1.; -1.; 0.5 ]);
+        (3, map float_of_int (int_range (-3) 3));
+        (2, float_range (-2.) 2.);
+        (1, return Float.nan);
+      ]
+  in
+  let point = pair coord coord in
+  let piece =
+    frequency
+      [
+        (4, map (fun p -> [ p ]) point);
+        (2, map (fun p -> [ p; p; p ]) point);
+        ( 3,
+          map2
+            (fun y zx -> [ (zx, y); (-.zx, y); (y, zx); (y, -.zx) ])
+            coord (oneofl [ 0.; -0. ]) );
+        ( 2,
+          map3
+            (fun (x, y) (dx, dy) n ->
+              List.init n (fun k ->
+                  (x +. (float_of_int k *. dx), y +. (float_of_int k *. dy))))
+            point point (int_range 2 6) );
+      ]
+  in
+  list_size (int_range 0 60) piece >>= fun ps -> shuffle_l (List.concat ps)
+
+let print_points pts =
+  String.concat "; "
+    (List.map (fun (x, y) -> Printf.sprintf "(%h, %h)" x y) pts)
+
+let same_bits a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (ax, ay) (bx, by) ->
+         Int64.equal (Int64.bits_of_float ax) (Int64.bits_of_float bx)
+         && Int64.equal (Int64.bits_of_float ay) (Int64.bits_of_float by))
+       a b
+
+let prop_hull_matches_reference =
+  QCheck.Test.make ~name:"hull bitwise equal to the list reference" ~count:500
+    (QCheck.make ~print:print_points tricky_points_gen) (fun pts ->
+      let reference = reference_hull pts in
+      let xs = Array.of_list (List.map fst pts)
+      and ys = Array.of_list (List.map snd pts) in
+      same_bits reference (Geometry.convex_hull pts)
+      && same_bits reference (Geometry.convex_hull_xy xs ys))
+
 let suites =
   [
     ( "geometry",
@@ -142,5 +223,6 @@ let suites =
         Alcotest.test_case "centroid" `Quick test_centroid;
         QCheck_alcotest.to_alcotest prop_hull_contains_all;
         QCheck_alcotest.to_alcotest prop_hull_idempotent;
+        QCheck_alcotest.to_alcotest prop_hull_matches_reference;
       ] );
   ]
